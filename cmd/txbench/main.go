@@ -181,15 +181,18 @@ type benchExperiment struct {
 // experiment.RunThreads run, with the sparse/dense cross-check recorded.
 // v4 adds detect/shard/{1,4,8} micro rows, the wire section (bytes/event
 // for both trace wire versions), and the shard_scaling section: end-to-end
-// sharded-replay events/sec per shard count.
+// sharded-replay events/sec per shard count. The detect/replay micro row
+// and the shard_over_replay section report each detect/shard/N row against
+// sequential trace.Replay of the same trace.
 type benchFile struct {
-	Schema         string            `json:"schema"`
-	Micro          []bench.Result    `json:"micro"`
-	Wire           []bench.WireRow   `json:"wire"`
-	ShardScaling   []bench.ShardRow  `json:"shard_scaling"`
-	Table1PerApp   []benchE2E        `json:"table1_per_app"`
-	ThreadsScaling []benchThreadsRow `json:"threads_scaling"`
-	Experiments    []benchExperiment `json:"experiments"`
+	Schema          string             `json:"schema"`
+	Micro           []bench.Result     `json:"micro"`
+	ShardOverReplay []bench.ShardRatio `json:"shard_over_replay"`
+	Wire            []bench.WireRow    `json:"wire"`
+	ShardScaling    []bench.ShardRow   `json:"shard_scaling"`
+	Table1PerApp    []benchE2E         `json:"table1_per_app"`
+	ThreadsScaling  []benchThreadsRow  `json:"threads_scaling"`
+	Experiments     []benchExperiment  `json:"experiments"`
 }
 
 // benchThreadsRow is one thread count of the scaling curve: deterministic
@@ -220,6 +223,10 @@ type benchE2E struct {
 func writeBench(path string, exps []benchExperiment, gate bool, baselinePath string, cfg experiment.Config, apps []*workload.Workload, counts, shardCounts []int) error {
 	fmt.Println("running micro benchmark suite...")
 	micro := bench.RunMicro()
+	ratios := bench.ShardRatios(micro)
+	for _, r := range ratios {
+		fmt.Printf("%s / detect/replay = %s\n", r.Name, r.OverReplay)
+	}
 	wire, err := bench.WireRows()
 	if err != nil {
 		return err
@@ -263,7 +270,7 @@ func writeBench(path string, exps []benchExperiment, gate bool, baselinePath str
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	werr := enc.Encode(benchFile{Schema: "txrace-bench/v4", Micro: micro, Wire: wire, ShardScaling: shardRows, Table1PerApp: e2e, ThreadsScaling: trows, Experiments: exps})
+	werr := enc.Encode(benchFile{Schema: "txrace-bench/v4", Micro: micro, ShardOverReplay: ratios, Wire: wire, ShardScaling: shardRows, Table1PerApp: e2e, ThreadsScaling: trows, Experiments: exps})
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -67,18 +68,34 @@ func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 	v1path, _ := writeTraceFile(t, t.TempDir(), true, 13) // cut mid-record
 	v2path, _ := writeTraceFile(t, t.TempDir(), false, 2) // cut mid-record
 
+	// A well-formed v1 trace whose one access claims thread id -5: the
+	// decoder must refuse it before any detector indexes a clock by it.
+	var hostile bytes.Buffer
+	if _, err := trace.FromEvents("h", trace.Event{Kind: trace.KAccess, Site: 1, Addr: 0x40}).WriteToV1(&hostile); err != nil {
+		t.Fatal(err)
+	}
+	negTID := filepath.Join(dir, "negtid.trace")
+	raw := hostile.Bytes()
+	binary.LittleEndian.PutUint32(raw[len(raw)-28+4:], 0xfffffffb) // record's tid field
+	if err := os.WriteFile(negTID, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name string
 		path string
+		args []string
 		want []string
 	}{
-		{"garbage", garbage, []string{"txtrace:", "bad magic"}},
-		{"truncated-v1", v1path, []string{"txtrace:", "wire v1", "offset", "unexpected EOF"}},
-		{"truncated-v2", v2path, []string{"txtrace:", "wire v2", "offset", "unexpected EOF"}},
+		{"garbage", garbage, nil, []string{"txtrace:", "bad magic"}},
+		{"truncated-v1", v1path, nil, []string{"txtrace:", "wire v1", "offset", "unexpected EOF"}},
+		{"truncated-v2", v2path, nil, []string{"txtrace:", "wire v2", "offset", "unexpected EOF"}},
+		{"negative-tid-shards1", negTID, nil, []string{"txtrace:", "wire v1", "event 0", "thread id -5 out of range"}},
+		{"negative-tid-shards2", negTID, []string{"-shards", "2"}, []string{"txtrace:", "wire v1", "event 0", "thread id -5 out of range"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(bin, "-in", tc.path)
+			cmd := exec.Command(bin, append([]string{"-in", tc.path}, tc.args...)...)
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()

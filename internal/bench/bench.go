@@ -187,6 +187,7 @@ func microFuncs() []microBench {
 		{"htm/access/idle", benchHTMIdle()},
 		{"sim/dispatch/tree", benchSimDispatch(true)},
 		{"sim/dispatch/decoded", benchSimDispatch(false)},
+		{"detect/replay", benchSequentialReplay},
 		{"detect/shard/1", benchShardedReplay(1)},
 		{"detect/shard/4", benchShardedReplay(4)},
 		{"detect/shard/8", benchShardedReplay(8)},

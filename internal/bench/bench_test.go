@@ -126,8 +126,8 @@ func TestResultFormatting(t *testing.T) {
 func TestMicroSuiteSmoke(t *testing.T) {
 	for _, f := range microFuncs() {
 		n := 2048
-		if strings.HasPrefix(f.name, "detect/shard/") {
-			n = 1 // one op is a full 120k-event sharded replay
+		if strings.HasPrefix(f.name, "detect/shard/") || f.name == "detect/replay" {
+			n = 1 // one op is a full 120k-event replay
 		}
 		f.fn(&testing.B{N: n})
 	}

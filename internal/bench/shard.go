@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 )
 
 // shardTraceEvents sizes the synthetic trace the shard rows replay: large
-// enough that per-shard detection dominates the sequential routing pre-pass,
+// enough that per-shard detection dominates the sequential sync replay,
 // small enough that best-of-3 stays inside the bench-smoke budget.
 const shardTraceEvents = 120_000
 
@@ -73,6 +74,41 @@ func benchShardedReplay(shards int) func(b *testing.B) {
 			}
 		}
 	}
+}
+
+// benchSequentialReplay measures trace.Replay of the same synthetic trace:
+// the sequential detector, the denominator every detect/shard/N row is
+// reported against (ShardRatios).
+func benchSequentialReplay(b *testing.B) {
+	shardTraceOnce.Do(func() { shardTrace = buildShardTrace() })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		trace.Replay(shardTrace)
+	}
+}
+
+// ShardRatio is one detect/shard/N micro row's time over the detect/replay
+// row: below 1 the sharded path beats sequential replay where it was
+// measured.
+type ShardRatio struct {
+	Name       string `json:"name"`
+	OverReplay string `json:"over_replay"`
+}
+
+// ShardRatios reports every detect/shard/N row of a micro-suite run against
+// its detect/replay row, in suite order.
+func ShardRatios(rs []Result) []ShardRatio {
+	seq, ok := Find(rs, "detect/replay")
+	if !ok || seq.Ns() == 0 {
+		return nil
+	}
+	var out []ShardRatio
+	for _, r := range rs {
+		if strings.HasPrefix(r.Name, "detect/shard/") {
+			out = append(out, ShardRatio{Name: r.Name, OverReplay: report.FormatFixed(r.Ns()/seq.Ns(), 2)})
+		}
+	}
+	return out
 }
 
 // WireRow reports one wire version's serialized size on the synthetic

@@ -31,3 +31,21 @@ func TestShardScalingConsistent(t *testing.T) {
 		t.Fatal("bench trace finds no races; throughput rows measure nothing interesting")
 	}
 }
+
+// TestShardRatios: every detect/shard/N row is reported against the
+// detect/replay row, in suite order; without that row there is no ratio.
+func TestShardRatios(t *testing.T) {
+	rs := []Result{
+		synthetic("detect/replay", 2000, 10),
+		synthetic("detect/shard/1", 2200, 10),
+		synthetic("detect/shard/8", 1500, 10),
+	}
+	got := ShardRatios(rs)
+	want := []ShardRatio{{"detect/shard/1", "1.10"}, {"detect/shard/8", "0.75"}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("ShardRatios = %+v, want %+v", got, want)
+	}
+	if r := ShardRatios(rs[1:]); r != nil {
+		t.Fatalf("ratios without a detect/replay row: %+v", r)
+	}
+}

@@ -24,6 +24,9 @@ func NewCellDetector(n int, seed int64) *CellDetector {
 	return &CellDetector{hb: New(), store: shadow.NewCellStore(n, seed)}
 }
 
+// clocks lets AcquireKind/ReleaseKind drive the wrapped core.
+func (d *CellDetector) clocks() *Clocks { return &d.hb.Clocks }
+
 // Fork, Join, Acquire and Release forward to the happens-before core.
 func (d *CellDetector) Fork(p, c clock.TID)             { d.hb.Fork(p, c) }
 func (d *CellDetector) Join(p, c clock.TID)             { d.hb.Join(p, c) }
@@ -44,7 +47,7 @@ func (d *CellDetector) Access(tid clock.TID, addr memmodel.Addr, isWrite bool, s
 		}
 		if !c.LeqEpoch(cell.E) {
 			d.hb.report(Race{Addr: addr, PrevSite: cell.Site, CurSite: site,
-				PrevWrite: cell.Write, CurWrite: isWrite, PrevTID: cell.E.TID(), CurTID: tid})
+				PrevWrite: cell.Write, CurWrite: isWrite, PrevTID: cell.E.TID(), CurTID: tid}, d.hb.Checks)
 		}
 	}
 	if d.store.Add(addr, shadow.Cell{E: c.Epoch(tid), Site: site, Write: isWrite}) {

@@ -10,7 +10,6 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/memmodel"
@@ -72,26 +71,13 @@ const DefaultCollapseEvery = 256
 // representation is already near-optimal and a shared base buys nothing.
 const collapseMinThreads = 16
 
-// Detector holds the full happens-before state: one vector clock per thread,
-// one per sync object, and FastTrack shadow words.
+// Detector is the sequential FastTrack detector: the happens-before core
+// (Clocks) feeding the live thread clock into the FastTrack kernel. Read,
+// Write and Access inline the thread-clock fast path and make one call into
+// the kernel, so the hot path is one function deep.
 type Detector struct {
-	threads []*clock.VC
-	syncs   vcTable
-	mem     *shadow.Memory
-	races   map[PairKey]Race
-	order   []PairKey // insertion order for deterministic reporting
-	onRace  func(Race)
-
-	cfg           Config
-	stats         *clock.Stats // shared by every clock this detector creates
-	base          *clock.Base  // current epoch-collapse base (nil before first round)
-	collapseEvery int
-	sinceCollapse int
-	collapseBuf   []*clock.VC
-
-	// Checks counts memory accesses actually analyzed; the cost model uses
-	// it and the sampling comparison reports it.
-	Checks uint64
+	Clocks
+	FastTrack
 }
 
 // New returns an empty detector in the default sparse-clock configuration.
@@ -99,278 +85,37 @@ func New() *Detector { return NewWith(Config{}) }
 
 // NewWith returns an empty detector with the given clock configuration.
 func NewWith(cfg Config) *Detector {
-	d := &Detector{
-		mem:   shadow.NewMemory(),
-		races: make(map[PairKey]Race),
-		cfg:   cfg,
-		stats: new(clock.Stats),
-	}
-	d.collapseEvery = cfg.CollapseEvery
-	if d.collapseEvery == 0 {
-		d.collapseEvery = DefaultCollapseEvery
-	}
+	d := &Detector{}
+	d.Clocks.init(cfg)
+	d.mem = shadow.NewMemory()
 	if !cfg.RefDense {
-		d.syncs.mk = d.newClock
 		d.mem.UseSparseClocks(d.stats)
 	}
 	return d
 }
 
-// newClock builds a thread/sync/read-vector clock in the configured
-// representation.
-func (d *Detector) newClock() *clock.VC {
-	if d.cfg.RefDense {
-		return clock.New(0)
-	}
-	return clock.NewSparse(d.stats)
-}
-
-// ClockStats returns the sparse-representation transition counters; the
-// runtimes fold them into observability at Finish.
-func (d *Detector) ClockStats() clock.Stats { return *d.stats }
-
-// OnRace registers a callback invoked once per distinct static race.
-func (d *Detector) OnRace(f func(Race)) { d.onRace = f }
-
-// growThreads extends a thread-clock slice to hold tid in one allocation.
-func growThreads(threads []*clock.VC, tid clock.TID) []*clock.VC {
-	nt := make([]*clock.VC, int(tid)+1)
-	copy(nt, threads)
-	return nt
-}
-
-func (d *Detector) thread(tid clock.TID) *clock.VC {
-	if int(tid) >= len(d.threads) {
-		d.threads = growThreads(d.threads, tid)
-	}
-	if d.threads[tid] == nil {
-		var v *clock.VC
-		if d.cfg.RefDense {
-			v = clock.New(int(tid) + 1)
-		} else {
-			v = clock.NewSparse(d.stats)
-		}
-		v.Tick(tid) // a thread's own component starts at 1
-		d.threads[tid] = v
-	}
-	return d.threads[tid]
-}
-
-func (d *Detector) sync(s SyncID) *clock.VC { return d.syncs.get(s) }
-
 // ShadowStats exposes the shadow memory's allocation counters; the runtimes
 // fold them into the observability metrics at the end of a run.
 func (d *Detector) ShadowStats() shadow.MemStats { return d.mem.Stats() }
 
-// ThreadVC exposes tid's current clock (read-only use expected). The TxRace
-// runtime consults it when attributing fast/slow overlap.
-func (d *Detector) ThreadVC(tid clock.TID) *clock.VC { return d.thread(tid) }
-
-// Fork records that parent spawned child: the child inherits everything the
-// parent has seen so far.
-func (d *Detector) Fork(parent, child clock.TID) {
-	p, c := d.thread(parent), d.thread(child)
-	c.Join(p)
-	c.Tick(child)
-	p.Tick(parent)
-}
-
-// Join records that parent observed child's termination.
-func (d *Detector) Join(parent, child clock.TID) {
-	p, c := d.thread(parent), d.thread(child)
-	p.Join(c)
-	c.Tick(child)
-}
-
-// JoinAllChildren records parent observing the termination of every child in
-// one batched operation: with sparse clocks the N-way merge is a single
-// tournament over the sorted entry lists (clock.JoinAll) instead of N
-// sequential O(T) joins. Semantically identical to calling Join per child.
-func (d *Detector) JoinAllChildren(parent clock.TID, children []clock.TID) {
-	p := d.thread(parent)
-	d.collapseBuf = d.collapseBuf[:0]
-	for _, c := range children {
-		d.collapseBuf = append(d.collapseBuf, d.thread(c))
-	}
-	clock.JoinAll(p, d.collapseBuf)
-	for _, c := range children {
-		d.thread(c).Tick(c)
-	}
-}
-
-// Acquire records tid synchronizing-with prior releases of s (lock acquire,
-// condition wait return, barrier departure).
-func (d *Detector) Acquire(tid clock.TID, s SyncID) {
-	d.thread(tid).Join(d.sync(s))
-}
-
-// Release records tid publishing its history through s (lock release,
-// signal, barrier arrival). The sync clock joins rather than assigns so the
-// same primitive serves mutexes, semaphore-style condvars, and barriers
-// without manufacturing false happens-before edges.
-func (d *Detector) Release(tid clock.TID, s SyncID) {
-	t := d.thread(tid)
-	d.sync(s).Join(t)
-	t.Tick(tid)
-	d.maybeCollapse()
-}
-
-func (d *Detector) maybeCollapse() {
-	if d.cfg.RefDense || d.collapseEvery < 0 {
-		return
-	}
-	d.sinceCollapse++
-	if d.sinceCollapse < d.collapseEvery || len(d.threads) < collapseMinThreads {
-		return
-	}
-	d.sinceCollapse = 0
-	d.Collapse()
-}
-
-// Collapse runs one epoch-collapse round: a new shared base is computed at
-// the pointwise minimum of all thread clocks (clock.NextBase) and the thread
-// clocks are re-expressed against it, so each ends up carrying entries only
-// for components where it is ahead of the floor — idle threads' slots are
-// reclaimed and Len() tracks live threads again. Sync clocks are never
-// eagerly rebased; they adopt newer bases lazily when next joined. Runs
-// automatically every CollapseEvery releases; exported for benchmarks.
-func (d *Detector) Collapse() {
-	if d.cfg.RefDense {
-		return
-	}
-	d.collapseBuf = d.collapseBuf[:0]
-	for _, v := range d.threads {
-		if v != nil {
-			d.collapseBuf = append(d.collapseBuf, v)
-		}
-	}
-	if len(d.collapseBuf) == 0 {
-		return
-	}
-	nb := clock.NextBase(d.base, d.collapseBuf)
-	for _, v := range d.collapseBuf {
-		v.Rebase(nb)
-	}
-	d.base = nb
-	d.stats.Collapses++
-}
-
-func (d *Detector) report(r Race) {
-	k := r.Key()
-	if _, dup := d.races[k]; dup {
-		return
-	}
-	d.races[k] = r
-	d.order = append(d.order, k)
-	if d.onRace != nil {
-		d.onRace(r)
-	}
-}
-
-// Read analyzes a read of addr by tid at static site, following FastTrack's
-// adaptive read representation.
+// Read analyzes a read of addr by tid at static site.
 func (d *Detector) Read(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
-	d.Checks++
 	c := d.thread(tid)
-	w := d.mem.Word(addr)
-	e := c.Epoch(tid)
-
-	if w.ReadShared() {
-		if w.RVC.Get(tid) == e.Time() {
-			return // same-epoch read
-		}
-	} else if w.R == e {
-		return
-	}
-
-	if !c.LeqEpoch(w.W) {
-		d.report(Race{Addr: addr, PrevSite: w.WSite, CurSite: site,
-			PrevWrite: true, CurWrite: false, PrevTID: w.W.TID(), CurTID: tid})
-	}
-
-	if w.ReadShared() {
-		w.RecordSharedRead(tid, e.Time(), site)
-		return
-	}
-	if w.R == clock.NoEpoch || c.LeqEpoch(w.R) {
-		w.R, w.RSite = e, site // exclusive: new read supersedes ordered old one
-		return
-	}
-	// Two concurrent readers: inflate to vector mode (pooled).
-	d.mem.Inflate(w, len(d.threads))
-	w.RecordSharedRead(tid, e.Time(), site)
+	d.read(c, tid, addr, site, len(d.threads), d.Checks)
 }
 
 // Write analyzes a write of addr by tid at static site.
 func (d *Detector) Write(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
-	d.Checks++
 	c := d.thread(tid)
-	w := d.mem.Word(addr)
-	e := c.Epoch(tid)
-
-	if w.W == e {
-		w.WSite = site
-		return // same-epoch write
-	}
-	if !c.LeqEpoch(w.W) {
-		d.report(Race{Addr: addr, PrevSite: w.WSite, CurSite: site,
-			PrevWrite: true, CurWrite: true, PrevTID: w.W.TID(), CurTID: tid})
-	}
-	if w.ReadShared() {
-		// ForEach visits nonzero components in ascending tid order — the
-		// same components, in the same order, as the dense index loop it
-		// replaced, so race reports are representation-independent.
-		w.RVC.ForEach(func(t clock.TID, rt clock.Time) {
-			if rt > c.Get(t) {
-				d.report(Race{Addr: addr, PrevSite: w.RSiteOf(t), CurSite: site,
-					PrevWrite: false, CurWrite: true, PrevTID: t, CurTID: tid})
-			}
-		})
-	} else if w.R != clock.NoEpoch && !c.LeqEpoch(w.R) {
-		d.report(Race{Addr: addr, PrevSite: w.RSite, CurSite: site,
-			PrevWrite: false, CurWrite: true, PrevTID: w.R.TID(), CurTID: tid})
-	}
-	// FastTrack write-clears-reads: any later access ordered after this
-	// write is ordered after all reads it superseded; any unordered later
-	// access will race with this write instead. The released read vector
-	// goes back to the memory's pool.
-	w.W, w.WSite = e, site
-	d.mem.ClearReads(w)
+	d.write(c, tid, addr, site, d.Checks)
 }
 
 // Access dispatches to Read or Write.
 func (d *Detector) Access(tid clock.TID, addr memmodel.Addr, isWrite bool, site shadow.SiteID) {
+	c := d.thread(tid)
 	if isWrite {
-		d.Write(tid, addr, site)
+		d.write(c, tid, addr, site, d.Checks)
 	} else {
-		d.Read(tid, addr, site)
+		d.read(c, tid, addr, site, len(d.threads), d.Checks)
 	}
-}
-
-// RaceCount returns the number of distinct static races found.
-func (d *Detector) RaceCount() int { return len(d.races) }
-
-// Races returns the distinct races in first-detection order.
-func (d *Detector) Races() []Race {
-	out := make([]Race, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.races[k])
-	}
-	return out
-}
-
-// RaceKeys returns the normalized static pairs, sorted, for set comparisons
-// between detector runs (recall computation in Table 2 / Fig. 10).
-func (d *Detector) RaceKeys() []PairKey {
-	out := make([]PairKey, 0, len(d.races))
-	for k := range d.races {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"sort"
-
 	"repro/internal/clock"
 	"repro/internal/memmodel"
 	"repro/internal/shadow"
@@ -17,14 +15,9 @@ import (
 // gap, which is the optimization FastTrack (and hence TSan, and hence this
 // reproduction's slow path) is built on.
 type VCDetector struct {
-	threads []*clock.VC
-	syncs   vcTable
-	vars    shadow.PageTable[vcVar]
-	races   map[PairKey]Race
-	order   []PairKey
-
-	cfg   Config
-	stats *clock.Stats
+	Clocks
+	RaceLog
+	vars shadow.PageTable[vcVar]
 
 	Checks uint64
 }
@@ -43,70 +36,11 @@ type vcVar struct {
 func NewVC() *VCDetector { return NewVCWith(Config{}) }
 
 // NewVCWith returns an empty Djit⁺-style detector with the given clock
-// configuration.
+// representation. It never epoch-collapses.
 func NewVCWith(cfg Config) *VCDetector {
-	d := &VCDetector{
-		races: make(map[PairKey]Race),
-		cfg:   cfg,
-		stats: new(clock.Stats),
-	}
-	if !cfg.RefDense {
-		d.syncs.mk = d.newClock
-	}
+	d := &VCDetector{}
+	d.Clocks.init(Config{RefDense: cfg.RefDense, CollapseEvery: -1})
 	return d
-}
-
-func (d *VCDetector) newClock() *clock.VC {
-	if d.cfg.RefDense {
-		return clock.New(0)
-	}
-	return clock.NewSparse(d.stats)
-}
-
-// ClockStats returns the sparse-representation transition counters.
-func (d *VCDetector) ClockStats() clock.Stats { return *d.stats }
-
-func (d *VCDetector) thread(tid clock.TID) *clock.VC {
-	if int(tid) >= len(d.threads) {
-		d.threads = growThreads(d.threads, tid)
-	}
-	if d.threads[tid] == nil {
-		var v *clock.VC
-		if d.cfg.RefDense {
-			v = clock.New(int(tid) + 1)
-		} else {
-			v = clock.NewSparse(d.stats)
-		}
-		v.Tick(tid)
-		d.threads[tid] = v
-	}
-	return d.threads[tid]
-}
-
-func (d *VCDetector) sync(s SyncID) *clock.VC { return d.syncs.get(s) }
-
-// Fork, Join, Acquire, Release mirror Detector's happens-before transfer.
-func (d *VCDetector) Fork(parent, child clock.TID) {
-	p, c := d.thread(parent), d.thread(child)
-	c.Join(p)
-	c.Tick(child)
-	p.Tick(parent)
-}
-
-// Join records child's termination.
-func (d *VCDetector) Join(parent, child clock.TID) {
-	d.thread(parent).Join(d.thread(child))
-	d.thread(child).Tick(child)
-}
-
-// Acquire joins the sync object's clock into the thread.
-func (d *VCDetector) Acquire(tid clock.TID, s SyncID) { d.thread(tid).Join(d.sync(s)) }
-
-// Release publishes the thread's clock through the sync object.
-func (d *VCDetector) Release(tid clock.TID, s SyncID) {
-	t := d.thread(tid)
-	d.sync(s).Join(t)
-	t.Tick(tid)
 }
 
 func (d *VCDetector) varOf(a memmodel.Addr) *vcVar {
@@ -133,15 +67,6 @@ func siteOf(sites []shadow.SiteID, tid clock.TID) shadow.SiteID {
 	return sites[tid]
 }
 
-func (d *VCDetector) report(r Race) {
-	k := r.Key()
-	if _, dup := d.races[k]; dup {
-		return
-	}
-	d.races[k] = r
-	d.order = append(d.order, k)
-}
-
 // scan reports every component of prev that is not covered by cur —
 // Djit⁺'s per-access vector comparison. ForEach visits only live
 // components in ascending tid order, so a sparse per-variable clock costs
@@ -155,7 +80,7 @@ func (d *VCDetector) scan(prev *clock.VC, sites []shadow.SiteID, prevWrite bool,
 		}
 		if pt > cur.Get(t) {
 			d.report(Race{Addr: addr, PrevSite: siteOf(sites, t), CurSite: site,
-				PrevWrite: prevWrite, CurWrite: isWrite, PrevTID: t, CurTID: tid})
+				PrevWrite: prevWrite, CurWrite: isWrite, PrevTID: t, CurTID: tid}, d.Checks)
 		}
 	})
 }
@@ -188,22 +113,4 @@ func (d *VCDetector) Access(tid clock.TID, addr memmodel.Addr, isWrite bool, sit
 	} else {
 		d.Read(tid, addr, site)
 	}
-}
-
-// RaceCount returns the number of distinct static races.
-func (d *VCDetector) RaceCount() int { return len(d.races) }
-
-// RaceKeys returns the sorted normalized race pairs.
-func (d *VCDetector) RaceKeys() []PairKey {
-	out := make([]PairKey, 0, len(d.races))
-	for k := range d.races {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }

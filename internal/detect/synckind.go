@@ -6,9 +6,13 @@ import (
 )
 
 // rwReaderBit namespaces the auxiliary clock a reader-writer lock needs: the
-// detector keeps one vector clock for the write side of rwlock s (the plain
+// core keeps one vector clock for the write side of rwlock s (the plain
 // SyncID) and one for the read side (SyncID with this bit set).
 const rwReaderBit SyncID = 1 << 31
+
+// hbCore is anything built on the happens-before core: *Clocks itself and
+// every detector that embeds or wraps it.
+type hbCore interface{ clocks() *Clocks }
 
 // AcquireKind applies the happens-before semantics of a synchronization
 // acquire according to its kind:
@@ -18,28 +22,20 @@ const rwReaderBit SyncID = 1 << 31
 //     after previous writers but not after each other);
 //   - rwlock write hold: join both sides (a writer is ordered after all
 //     previous writers and readers).
-func AcquireKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
-	switch kind {
-	case sim.SyncRead:
-		d.Acquire(tid, s)
-	case sim.SyncWrite:
-		d.Acquire(tid, s)
-		d.Acquire(tid, s|rwReaderBit)
-	default:
-		d.Acquire(tid, s)
+func AcquireKind(d hbCore, tid clock.TID, s SyncID, kind sim.SyncKind) {
+	h := d.clocks()
+	h.Acquire(tid, s)
+	if kind == sim.SyncWrite {
+		h.Acquire(tid, s|rwReaderBit)
 	}
 }
 
 // ReleaseKind applies the release-side semantics (see AcquireKind):
 // read-unlocks publish into the reader-side clock only; write-unlocks into
 // the writer-side clock.
-func ReleaseKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
-	switch kind {
-	case sim.SyncRead:
-		d.Release(tid, s|rwReaderBit)
-	case sim.SyncWrite:
-		d.Release(tid, s)
-	default:
-		d.Release(tid, s)
+func ReleaseKind(d hbCore, tid clock.TID, s SyncID, kind sim.SyncKind) {
+	if kind == sim.SyncRead {
+		s |= rwReaderBit
 	}
+	d.clocks().Release(tid, s)
 }

@@ -5,8 +5,8 @@ import "repro/internal/clock"
 // Program synchronization objects carry small dense SyncIDs (the workload
 // builder hands them out sequentially from 1), so the common lookup on every
 // acquire/release is an array index. Two derived namespaces are sparse by
-// construction — rwlock reader-side clocks (rwReaderBit, 1<<31) and atomic
-// per-location clocks (atomicSyncBit, 1<<30) — and fall back to a map.
+// construction — rwlock reader-side clocks (rwReaderBit) and atomic
+// per-location clocks (atomicSyncBit) — and fall back to a map.
 const denseSyncLimit = 1 << 16
 
 // vcTable maps SyncIDs to their vector clocks: a direct-indexed slice for

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -198,6 +199,61 @@ func TestServerRejectsGarbage(t *testing.T) {
 	for _, want := range []string{"wire v2", "offset", "unexpected EOF"} {
 		if !strings.Contains(trunc.Error, want) {
 			t.Fatalf("truncation error %q lacks %q", trunc.Error, want)
+		}
+	}
+
+	// A hostile thread id gets a structured error and harms no other
+	// session: a lossless session streaming concurrently on the same server
+	// still reports exactly the offline race list.
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := New(Config{Shards: 4, Workers: 2, NoShed: true})
+	go srv2.Serve(ln2)
+	defer srv2.Close()
+	good, err := net.Dial("tcp", ln2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	half := buf.Len() / 2
+	good.Write(buf.Bytes()[:half])
+
+	var hostile bytes.Buffer
+	if _, err := trace.FromEvents("h", trace.Event{Kind: trace.KAccess, Site: 1, Addr: 0x40}).WriteToV1(&hostile); err != nil {
+		t.Fatal(err)
+	}
+	raw := hostile.Bytes()
+	binary.LittleEndian.PutUint32(raw[len(raw)-28+4:], 0xfffffffb) // tid -5
+	bad, err := net.Dial("tcp", ln2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	bad.Write(raw)
+	var badResp Response
+	if err := json.NewDecoder(bad).Decode(&badResp); err != nil {
+		t.Fatalf("no JSON error response for hostile tid: %v", err)
+	}
+	for _, want := range []string{"wire v1", "event 0", "thread id -5 out of range"} {
+		if !strings.Contains(badResp.Error, want) {
+			t.Fatalf("hostile-tid error %q lacks %q", badResp.Error, want)
+		}
+	}
+
+	good.Write(buf.Bytes()[half:])
+	var goodResp Response
+	if err := json.NewDecoder(good).Decode(&goodResp); err != nil {
+		t.Fatalf("concurrent session got no response: %v", err)
+	}
+	want := trace.Replay(tr).Races()
+	if goodResp.Error != "" || len(goodResp.Races) != len(want) {
+		t.Fatalf("concurrent session: error %q, %d races, want %d", goodResp.Error, len(goodResp.Races), len(want))
+	}
+	for i, rc := range want {
+		if goodResp.Races[i].Text != rc.String() {
+			t.Fatalf("concurrent session race %d: %q, want %q", i, goodResp.Races[i].Text, rc.String())
 		}
 	}
 }

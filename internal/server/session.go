@@ -4,7 +4,10 @@ import (
 	"sync"
 
 	"repro/internal/clock"
+	"repro/internal/detect"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -55,6 +58,18 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	return c
 }
 
+// shardEvt is one access routed to a shard: the event's payload plus the
+// thread-clock snapshot current at routing time and the global event index
+// (the merge key that restores sequential first-detection order).
+type shardEvt struct {
+	vc    *clock.VC
+	addr  memmodel.Addr
+	idx   uint64
+	site  shadow.SiteID
+	tid   clock.TID
+	write bool
+}
+
 // workItem is one batch of routed accesses bound for a shard.
 type workItem struct {
 	shard   int
@@ -64,17 +79,17 @@ type workItem struct {
 
 // Session is one client's streaming detection run: events arrive in trace
 // order through Feed (single-goroutine ingestion, like one connection), the
-// sync events drive the sequential clock router, and access batches fan out
-// to shard workers. Finish flushes, joins the workers, and merges per-shard
-// findings into a Report.
+// sync events drive the sequential happens-before core, and access batches
+// fan out to shard workers, each running the FastTrack kernel. Finish
+// flushes, joins the workers, and merges per-shard findings into a Report.
 //
 // With Shed disabled the result is byte-identical to the sequential
 // detector; with Shed enabled it degrades to sampling under overload and
 // the Report carries the shed count and coverage.
 type Session struct {
 	cfg      SessionConfig
-	router   *clockRouter
-	states   []*shardState
+	clocks   *detect.Clocks
+	shards   []*detect.FastTrack
 	queues   []chan workItem
 	batches  [][]shardEvt
 	wg       sync.WaitGroup
@@ -90,14 +105,16 @@ type Session struct {
 func NewSession(cfg SessionConfig) *Session {
 	cfg = cfg.withDefaults()
 	s := &Session{
-		cfg:     cfg,
-		router:  newClockRouter(),
-		states:  make([]*shardState, cfg.Shards),
+		cfg: cfg,
+		// Epoch-collapsing stays off: a Rebase would mutate clocks the
+		// shards still hold as snapshots.
+		clocks:  detect.NewClocks(detect.Config{CollapseEvery: -1}),
+		shards:  make([]*detect.FastTrack, cfg.Shards),
 		queues:  make([]chan workItem, cfg.Workers),
 		batches: make([][]shardEvt, cfg.Shards),
 	}
-	for i := range s.states {
-		s.states[i] = newShardState()
+	for i := range s.shards {
+		s.shards[i] = detect.NewFastTrack()
 	}
 	for w := range s.queues {
 		s.queues[w] = make(chan workItem, cfg.QueueBatches)
@@ -117,9 +134,9 @@ func (s *Session) worker(w int) {
 		if s.cfg.workerGate != nil {
 			s.cfg.workerGate(w)
 		}
-		st := s.states[item.shard]
+		k := s.shards[item.shard]
 		for _, ev := range item.batch {
-			st.access(ev, item.threads)
+			k.Access(ev.vc, ev.tid, ev.addr, ev.write, ev.site, item.threads, ev.idx)
 		}
 		if m != nil {
 			m.queueDepth.Add(-1)
@@ -138,7 +155,7 @@ func (s *Session) Feed(e trace.Event) {
 	if e.Kind != trace.KAccess {
 		// Sync events are never shed: dropping one would corrupt the
 		// happens-before frontier for every later access.
-		s.router.applySync(e)
+		trace.ApplySync(s.clocks, e)
 		return
 	}
 	sh := shardOf(e.Addr, s.cfg.Shards)
@@ -151,7 +168,7 @@ func (s *Session) Feed(e trace.Event) {
 		}
 	}
 	s.batches[sh] = append(s.batches[sh], shardEvt{
-		vc:   s.router.snapshot(clock.TID(e.TID)),
+		vc:   s.clocks.Snapshot(clock.TID(e.TID)),
 		addr: e.Addr, idx: s.events - 1, site: e.Site,
 		tid: clock.TID(e.TID), write: e.Write,
 	})
@@ -187,7 +204,7 @@ func (s *Session) flush(sh int, block bool) {
 	if len(b) == 0 {
 		return
 	}
-	item := workItem{shard: sh, threads: s.router.numThreads(), batch: b}
+	item := workItem{shard: sh, threads: s.clocks.NumThreads(), batch: b}
 	q := s.queues[sh%s.cfg.Workers]
 	m := s.cfg.metrics
 	if s.cfg.Shed && !block {
@@ -235,7 +252,13 @@ func (s *Session) Finish(name string) *Report {
 		close(q)
 	}
 	s.wg.Wait()
-	races, checks := mergeShards(s.states)
+	logs := make([]*detect.RaceLog, len(s.shards))
+	var checks uint64
+	for i, k := range s.shards {
+		logs[i] = &k.RaceLog
+		checks += k.Checks
+	}
+	races := detect.MergeLogs(logs)
 	if m := s.cfg.metrics; m != nil {
 		m.sessions.Add(-1)
 		m.races.Add(uint64(len(races)))

@@ -151,22 +151,6 @@ func TestShardedMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation pins the copy-on-write contract: a snapshot handed
-// out before a sync operation must not observe the mutation.
-func TestSnapshotIsolation(t *testing.T) {
-	r := newClockRouter()
-	r.fork(0, 1)
-	snap := r.snapshot(1)
-	before := snap.Get(1)
-	r.applySync(trace.Event{Kind: trace.KRelease, TID: 1, Sync: 3})
-	if got := snap.Get(1); got != before {
-		t.Fatalf("snapshot mutated by later release: %d -> %d", before, got)
-	}
-	if now := r.snapshot(1).Get(1); now != before+1 {
-		t.Fatalf("router clock not advanced: %d, want %d", now, before+1)
-	}
-}
-
 // TestShardOfStaysOnPage: all addresses on one shadow page map to one shard.
 func TestShardOfStaysOnPage(t *testing.T) {
 	base := memmodel.Addr(3 * 512 * 8) // granule 1536, page 3

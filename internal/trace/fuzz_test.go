@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/detect"
@@ -62,6 +63,15 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add(v2.Bytes()[:8+len(tr.Name)-2])   // cut mid-name
 	f.Add(v1.Bytes()[:8+len(tr.Name)+3])   // cut mid-count
 	f.Add(v2.Bytes()[:8+len(tr.Name)+8+1]) // exactly one payload byte
+	// Hostile thread ids: a v1 access at tid -5 and a v2 access at tid
+	// 1<<30. Both must be rejected before any detector indexes by them.
+	neg := append([]byte(nil), v1.Bytes()...)
+	binary.LittleEndian.PutUint32(neg[8+len(tr.Name)+8+recordSizeV1+4:], uint32(0xfffffffb))
+	f.Add(neg)
+	huge := append([]byte(nil), v2.Bytes()[:8+len(tr.Name)+8]...)
+	huge = append(huge, byte(KAccess))
+	huge = binary.AppendUvarint(huge, 1<<30)
+	f.Add(append(huge, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadFrom(bytes.NewReader(data))

@@ -147,21 +147,32 @@ func (r *Recorder) Joined(p, c *sim.Thread) {
 	r.T.Append(Event{Kind: KJoin, TID: int32(p.ID), Other: int32(c.ID)})
 }
 
+// ApplySync applies one synchronization event (acquire/release with its
+// rwlock kind, fork, join) to a happens-before core; accesses are ignored.
+// It is the one sync-event switch behind Replay, ReplayVC and the streaming
+// server's sessions.
+func ApplySync(h *detect.Clocks, e Event) {
+	tid := clock.TID(e.TID)
+	switch e.Kind {
+	case KAcquire:
+		detect.AcquireKind(h, tid, e.Sync, e.SyncKind)
+	case KRelease:
+		detect.ReleaseKind(h, tid, e.Sync, e.SyncKind)
+	case KFork:
+		h.Fork(tid, clock.TID(e.Other))
+	case KJoin:
+		h.Join(tid, clock.TID(e.Other))
+	}
+}
+
 // Replay feeds the trace to a happens-before detector and returns it.
 func Replay(t *Trace) *detect.Detector {
 	d := detect.New()
 	t.ForEach(func(e Event) {
-		switch e.Kind {
-		case KAccess:
+		if e.Kind == KAccess {
 			d.Access(clock.TID(e.TID), e.Addr, e.Write, e.Site)
-		case KAcquire:
-			detect.AcquireKind(d, clock.TID(e.TID), e.Sync, e.SyncKind)
-		case KRelease:
-			detect.ReleaseKind(d, clock.TID(e.TID), e.Sync, e.SyncKind)
-		case KFork:
-			d.Fork(clock.TID(e.TID), clock.TID(e.Other))
-		case KJoin:
-			d.Join(clock.TID(e.TID), clock.TID(e.Other))
+		} else {
+			ApplySync(&d.Clocks, e)
 		}
 	})
 	return d
@@ -172,25 +183,10 @@ func Replay(t *Trace) *detect.Detector {
 func ReplayVC(t *Trace) *detect.VCDetector {
 	d := detect.NewVC()
 	t.ForEach(func(e Event) {
-		switch e.Kind {
-		case KAccess:
+		if e.Kind == KAccess {
 			d.Access(clock.TID(e.TID), e.Addr, e.Write, e.Site)
-		case KAcquire:
-			d.Acquire(clock.TID(e.TID), e.Sync)
-			if e.SyncKind == sim.SyncWrite {
-				d.Acquire(clock.TID(e.TID), e.Sync|1<<31)
-			}
-		case KRelease:
-			switch e.SyncKind {
-			case sim.SyncRead:
-				d.Release(clock.TID(e.TID), e.Sync|1<<31)
-			default:
-				d.Release(clock.TID(e.TID), e.Sync)
-			}
-		case KFork:
-			d.Fork(clock.TID(e.TID), clock.TID(e.Other))
-		case KJoin:
-			d.Join(clock.TID(e.TID), clock.TID(e.Other))
+		} else {
+			ApplySync(&d.Clocks, e)
 		}
 	})
 	return d

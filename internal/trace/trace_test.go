@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/memmodel"
+	"repro/internal/shadow"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -242,6 +244,21 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 		raw[headerLen+off] = b
 		return raw
 	}
+	// v1TID returns the v1 bytes with record rec's thread id field (tid at
+	// offset 4, other at offset 8) set to v.
+	v1TID := func(rec, off int, v int32) []byte {
+		raw := append([]byte(nil), v1.Bytes()...)
+		binary.LittleEndian.PutUint32(raw[headerLen+rec*recordSizeV1+off:], uint32(v))
+		return raw
+	}
+	// v2HugeTID is a one-access v2 stream whose tid varint is 1<<30.
+	var v2Huge bytes.Buffer
+	if err := FromEvents("np", Event{}).writeHeader(&v2Huge, version2); err != nil {
+		t.Fatal(err)
+	}
+	v2Huge.WriteByte(byte(KAccess))
+	v2Huge.Write(binary.AppendUvarint(nil, 1<<30))
+	v2Huge.Write([]byte{0, 0})
 
 	cases := []struct {
 		name      string
@@ -267,6 +284,10 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 		{"v1-invalid-kind", corruptV1(0, 250), []string{"wire v1", "invalid event kind 250"}, false},
 		{"v1-invalid-write-flag", corruptV1(1, 7), []string{"wire v1", "invalid write flag 7"}, false},
 		{"v1-invalid-sync-kind", corruptV1(2, 99), []string{"wire v1", "invalid sync kind 99"}, false},
+		{"v1-negative-tid", v1TID(1, 4, -5), []string{"wire v1", "event 1 at offset", "thread id -5 out of range"}, false},
+		{"v1-huge-tid", v1TID(1, 4, 1<<30), []string{"wire v1", "thread id 1073741824 out of range"}, false},
+		{"v1-negative-fork-child", v1TID(0, 8, -1), []string{"wire v1", "fork/join thread id -1 out of range"}, false},
+		{"v2-huge-tid", v2Huge.Bytes(), []string{"wire v2", "event 0 at offset", "thread id 1073741824 out of range"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,6 +326,27 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 	}
 }
 
+// TestWritersRefuseWhatReadersRefuse: both wire versions reject an event
+// out of the readers' range at encode time, so no writer emits a trace its
+// own reader would refuse.
+func TestWritersRefuseWhatReadersRefuse(t *testing.T) {
+	for _, e := range []Event{
+		{Kind: KAccess, TID: -5},
+		{Kind: KAccess, TID: 1 << 30},
+		{Kind: KFork, TID: 0, Other: -1},
+		{Kind: KJoin, TID: 0, Other: 1 << 30},
+		{Kind: kindCount},
+	} {
+		tr := FromEvents("bad", e)
+		if _, err := tr.WriteToV1(io.Discard); err == nil {
+			t.Errorf("v1 writer accepted %+v", e)
+		}
+		if _, err := tr.WriteTo(io.Discard); err == nil {
+			t.Errorf("v2 writer accepted %+v", e)
+		}
+	}
+}
+
 func TestReplayLocksetSeesViolations(t *testing.T) {
 	tr := record(t, "freqmine", 2)
 	ls := ReplayLockset(tr)
@@ -333,12 +375,94 @@ func TestRecorderSkipsUnhookedAccesses(t *testing.T) {
 	})
 }
 
+// rwSynthTrace generates a deterministic trace the recorded apps never
+// produce: forked threads accessing words under an rwlock held in read or
+// write mode (or under no lock), with extra rwlock holds and joins in
+// between. Every word is accessed exactly twice, by two threads, so the
+// FastTrack and Djit⁺ race sets must coincide: each reports a word's pair
+// exactly when the rwlock semantics leave the two accesses unordered.
+func rwSynthTrace(seed uint64) *Trace {
+	const threads = 6
+	tr := &Trace{Name: "rw-synth"}
+	rng := seed
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(n))
+	}
+	for c := int32(1); c < threads; c++ {
+		tr.Append(Event{Kind: KFork, TID: 0, Other: c})
+	}
+	live := []int32{0, 1, 2, 3, 4, 5}
+	// hold brackets fn in a random rwlock hold (read, write or none).
+	hold := func(tid int32, fn func()) {
+		k := sim.SyncKind(next(3)) // SyncMutex stands for "no lock" here
+		if k != sim.SyncRead && k != sim.SyncWrite {
+			fn()
+			return
+		}
+		tr.Append(Event{Kind: KAcquire, TID: tid, Sync: 9, SyncKind: k})
+		fn()
+		tr.Append(Event{Kind: KRelease, TID: tid, Sync: 9, SyncKind: k})
+	}
+	type first struct {
+		word int
+		tid  int32
+	}
+	var pending []first
+	words := 0
+	for i := 0; i < 2000; i++ {
+		tid := live[next(len(live))]
+		switch r := next(10); {
+		case r < 4 || len(pending) == 0: // first access to a fresh word
+			w := words
+			words++
+			pending = append(pending, first{w, tid})
+			hold(tid, func() {
+				tr.Append(Event{Kind: KAccess, TID: tid, Write: next(2) == 0,
+					Addr: memmodel.Addr(0x1000 + 8*w), Site: shadow.SiteID(2*w + 1)})
+			})
+		case r < 8: // second access, by another thread
+			j := next(len(pending))
+			p := pending[j]
+			if p.tid == tid {
+				continue
+			}
+			pending = append(pending[:j], pending[j+1:]...)
+			hold(tid, func() {
+				tr.Append(Event{Kind: KAccess, TID: tid, Write: next(2) == 0,
+					Addr: memmodel.Addr(0x1000 + 8*p.word), Site: shadow.SiteID(2*p.word + 2)})
+			})
+		case r == 8: // a hold with no access, ordering later holders
+			hold(tid, func() {})
+		default:
+			if tid != 0 && next(20) == 0 {
+				tr.Append(Event{Kind: KJoin, TID: 0, Other: tid})
+				for k, l := range live {
+					if l == tid {
+						live = append(live[:k], live[k+1:]...)
+						break
+					}
+				}
+			}
+		}
+	}
+	return tr
+}
+
 // TestReplayVCAgreesWithFastTrack: on the workloads' single-pair race
-// patterns, the Djit⁺-style detector and FastTrack report identical sets
-// when replaying the same trace.
+// patterns, and on synthetic traces with rwlock read/write holds, forks and
+// joins, the Djit⁺-style detector and FastTrack report identical sets when
+// replaying the same trace.
 func TestReplayVCAgreesWithFastTrack(t *testing.T) {
+	var traces []*Trace
 	for _, name := range []string{"raytrace", "x264", "streamcluster"} {
-		tr := record(t, name, 11)
+		traces = append(traces, record(t, name, 11))
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		traces = append(traces, rwSynthTrace(seed))
+	}
+	for _, tr := range traces {
+		name := tr.Name
 		ft := Replay(tr).RaceKeys()
 		vc := ReplayVC(tr).RaceKeys()
 		if len(ft) != len(vc) {
@@ -348,6 +472,9 @@ func TestReplayVCAgreesWithFastTrack(t *testing.T) {
 			if ft[i] != vc[i] {
 				t.Fatalf("%s: race %d: %v vs %v", name, i, ft[i], vc[i])
 			}
+		}
+		if name == "rw-synth" && len(ft) == 0 {
+			t.Fatal("rw-synth: no races; the rwlock comparison is vacuous")
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/detect"
 	"repro/internal/memmodel"
@@ -45,11 +46,33 @@ const (
 	// maxEvents bounds what a header may claim, so corrupt counts fail
 	// fast instead of looping for 2^64 records.
 	maxEvents = 1 << 30
-	// maxTID bounds thread ids the v2 decoder accepts: the per-thread
-	// delta state is indexed by tid, and a hostile varint must not make
-	// the decoder allocate gigabytes of it.
+	// maxTID bounds the thread ids either wire version carries: the v2
+	// delta state and every detector's thread table are indexed by tid,
+	// and a hostile record must not make them allocate gigabytes.
 	maxTID = 1 << 22
 )
+
+// checkEvent is the wire format's one range check. Both readers apply it to
+// every decoded event and both writers before encoding one, so neither
+// version writes what it would refuse to read. Thread ids must lie in
+// [0, maxTID]: the acting thread always, the other thread on fork/join.
+func checkEvent(e *Event) error {
+	switch {
+	case e.Kind >= kindCount:
+		return fmt.Errorf("invalid event kind %d", e.Kind)
+	case e.SyncKind > 7:
+		return fmt.Errorf("invalid sync kind %d", e.SyncKind)
+	case e.TID < 0 || e.TID > maxTID:
+		return fmt.Errorf("thread id %d out of range [0, %d]", e.TID, maxTID)
+	case (e.Kind == KFork || e.Kind == KJoin) && (e.Other < 0 || e.Other > maxTID):
+		return fmt.Errorf("fork/join thread id %d out of range [0, %d]", e.Other, maxTID)
+	}
+	return nil
+}
+
+// wireTID narrows a decoded v2 thread id, saturating so an out-of-range
+// varint stays out of range for checkEvent instead of wrapping into it.
+func wireTID(u uint64) int32 { return int32(min(u, math.MaxInt32)) }
 
 // WriteTo serializes the trace in the current wire version (v2).
 func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.writeVersion(w, version2) }
@@ -114,6 +137,10 @@ func (t *Trace) writeEventsV1(w io.Writer) error {
 		if werr != nil {
 			return
 		}
+		if werr = checkEvent(&e); werr != nil {
+			werr = fmt.Errorf("trace: %w", werr)
+			return
+		}
 		rec[0] = byte(e.Kind)
 		rec[1] = 0
 		if e.Write {
@@ -161,12 +188,8 @@ func (t *Trace) writeEventsV2(w io.Writer) error {
 		if werr != nil {
 			return
 		}
-		if e.TID < 0 || e.TID > maxTID {
-			werr = fmt.Errorf("trace: tid %d out of v2 range", e.TID)
-			return
-		}
-		if e.SyncKind > 7 {
-			werr = fmt.Errorf("trace: sync kind %d out of v2 range", e.SyncKind)
+		if werr = checkEvent(&e); werr != nil {
+			werr = fmt.Errorf("trace: %w", werr)
 			return
 		}
 		b0 := byte(e.Kind) & 7
@@ -186,14 +209,7 @@ func (t *Trace) writeEventsV2(w io.Writer) error {
 		case KAcquire, KRelease:
 			n += binary.PutUvarint(buf[n:], uint64(e.Sync))
 		case KFork, KJoin:
-			if e.Other < 0 {
-				werr = fmt.Errorf("trace: negative thread id %d in fork/join", e.Other)
-				return
-			}
 			n += binary.PutUvarint(buf[n:], uint64(e.Other))
-		default:
-			werr = fmt.Errorf("trace: unknown event kind %d", e.Kind)
-			return
 		}
 		_, werr = w.Write(buf[:n])
 	})
@@ -305,16 +321,10 @@ func (sr *StreamReader) nextV1() (Event, error) {
 	if _, err := io.ReadFull(sr.br, rec[:]); err != nil {
 		return Event{}, fmt.Errorf("truncated record: %w", noEOF(err))
 	}
-	if Kind(rec[0]) >= kindCount {
-		return Event{}, fmt.Errorf("invalid event kind %d", rec[0])
-	}
 	if rec[1] > 1 {
 		return Event{}, fmt.Errorf("invalid write flag %d", rec[1])
 	}
-	if rec[2] > 7 {
-		return Event{}, fmt.Errorf("invalid sync kind %d", rec[2])
-	}
-	return Event{
+	e := Event{
 		Kind:     Kind(rec[0]),
 		Write:    rec[1] == 1,
 		SyncKind: sim.SyncKind(rec[2]),
@@ -323,7 +333,8 @@ func (sr *StreamReader) nextV1() (Event, error) {
 		Site:     shadow.SiteID(binary.LittleEndian.Uint32(rec[12:])),
 		Sync:     detect.SyncID(binary.LittleEndian.Uint32(rec[16:])),
 		Addr:     memmodel.Addr(binary.LittleEndian.Uint64(rec[20:])),
-	}, nil
+	}
+	return e, checkEvent(&e)
 }
 
 func (sr *StreamReader) nextV2() (Event, error) {
@@ -331,12 +342,8 @@ func (sr *StreamReader) nextV2() (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("truncated record: %w", noEOF(err))
 	}
-	kind := Kind(b0 & 7)
-	if kind >= kindCount {
-		return Event{}, fmt.Errorf("invalid event kind %d", kind)
-	}
 	e := Event{
-		Kind:     kind,
+		Kind:     Kind(b0 & 7),
 		Write:    b0&(1<<3) != 0,
 		SyncKind: sim.SyncKind(b0 >> 4),
 	}
@@ -344,11 +351,13 @@ func (sr *StreamReader) nextV2() (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	if tid > maxTID {
-		return Event{}, fmt.Errorf("implausible tid %d", tid)
+	e.TID = wireTID(tid)
+	// Check kind and tid before the tid indexes the delta state; fork/join
+	// children are checked once decoded.
+	if err := checkEvent(&e); err != nil {
+		return Event{}, err
 	}
-	e.TID = int32(tid)
-	switch kind {
+	switch e.Kind {
 	case KAccess:
 		da, err := sr.uvarint()
 		if err != nil {
@@ -374,10 +383,8 @@ func (sr *StreamReader) nextV2() (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		if o > maxTID {
-			return Event{}, fmt.Errorf("implausible thread id %d", o)
-		}
-		e.Other = int32(o)
+		e.Other = wireTID(o)
+		return e, checkEvent(&e)
 	}
 	return e, nil
 }
