@@ -9,11 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Hot-path rows for the simulate→HTM inner loop, paired old/new in one
-// binary like the shadow map/paged rows: the HTM's reference conflict scan
-// (Config.RefScan) against the line-ownership directory, and the engine's
-// reference tree-walk interpreter (Config.RefWalk) against the decoded
-// instruction stream.
+// Hot-path rows for the simulate→HTM inner loop: the HTM's reference
+// conflict scan (Config.RefScan) paired against the line-ownership directory
+// in one binary, like the shadow map/paged rows, plus the engine's
+// interpreter on a fixed instruction mix.
 
 // benchHTMAccess measures a transactional access with 8 concurrent
 // transactions on disjoint footprints — the paper's full-machine case, where
@@ -84,11 +83,11 @@ func benchHTMIdle() func(b *testing.B) {
 	}
 }
 
-// dispatchProgram is the fixed instruction mix the interpreter rows execute:
+// dispatchProgram is the fixed instruction mix the interpreter row executes:
 // one worker running a 4000-iteration loop of two accesses and a compute,
 // with interrupts and jitter disabled. A single worker keeps the scheduler's
-// clock-tie sampling out of the loop, so ns/op differences come from
-// instruction fetch and dispatch — the axis the two rows differ on.
+// clock-tie sampling out of the loop, so ns/op tracks instruction fetch and
+// dispatch.
 func dispatchProgram() *sim.Program {
 	body := []sim.Instr{&sim.Loop{ID: 1, Count: 4000, Body: []sim.Instr{
 		&sim.MemAccess{Write: true, Addr: sim.Indexed(0, 1), Site: 1},
@@ -99,25 +98,22 @@ func dispatchProgram() *sim.Program {
 }
 
 // benchSimDispatch measures one full engine run of the fixed program; each
-// iteration executes the same ~12k instructions, so ns/op compares
-// interpreter dispatch cost directly.
-func benchSimDispatch(refWalk bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := dispatchProgram()
-		cfg := sim.Config{
-			Seed:      1,
-			Cores:     4,
-			HWThreads: 8,
-			MaxSteps:  1 << 22,
-			Cost:      cost.Default(),
-			RefWalk:   refWalk,
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.NewEngine(cfg).Run(p, &sim.NopRuntime{}); err != nil {
-				b.Fatal(err)
-			}
+// iteration executes the same ~12k instructions, so ns/op is interpreter
+// dispatch cost.
+func benchSimDispatch(b *testing.B) {
+	p := dispatchProgram()
+	cfg := sim.Config{
+		Seed:      1,
+		Cores:     4,
+		HWThreads: 8,
+		MaxSteps:  1 << 22,
+		Cost:      cost.Default(),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.NewEngine(cfg).Run(p, &sim.NopRuntime{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

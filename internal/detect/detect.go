@@ -56,7 +56,7 @@ type PairKey struct{ A, B shadow.SiteID }
 type Config struct {
 	// RefDense forces the retained dense representation everywhere: thread
 	// clocks, sync tables, read vectors, vcVars. It is the reference path
-	// for differential tests, exactly like the RefScan/RefWalk precedents.
+	// for differential tests, exactly like the RefScan precedent.
 	RefDense bool
 	// CollapseEvery is the number of release operations between
 	// epoch-collapse rounds. 0 means DefaultCollapseEvery; negative

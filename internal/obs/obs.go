@@ -183,7 +183,6 @@ type Observer struct {
 	cClockPromote, cClockCollapse, cClockFallback     *Counter
 	cDirLines, cDirChecks, cDirFastpath               *Counter
 	cTagRecycled, cTagFalse, cBoundedOverflow         *Counter
-	cDecodeInstrs                                     *Counter
 	cGovForced, cGovTrips, cGovGlobal                 *Counter
 	cFaultUnknown, cFaultRetry, cFaultCapacity        *Counter
 	cFaultDoomed, cFaultCommit, cFaultSyscall         *Counter
@@ -240,7 +239,6 @@ func New(trace Sink, m *Metrics) *Observer {
 		cTagRecycled:     m.Counter("htm.tag.recycled"),
 		cTagFalse:        m.Counter("htm.tag.false"),
 		cBoundedOverflow: m.Counter("htm.bounded.overflow"),
-		cDecodeInstrs:    m.Counter("sim.decode.instrs"),
 		cGovForced:       m.Counter("core.fallback.forced"),
 		cGovTrips:        m.Counter("core.governor.trips"),
 		cGovGlobal:       m.Counter("core.governor.global"),
@@ -513,15 +511,6 @@ func (o *Observer) HTMBackendStats(name string, tagRecycled, tagFalse, boundedOv
 	o.cTagRecycled.Add(tagRecycled)
 	o.cTagFalse.Add(tagFalse)
 	o.cBoundedOverflow.Add(boundedOverflow)
-}
-
-// SimDecodeStats folds the engine's decoded-instruction count into the
-// registry, once per run when execution finishes.
-func (o *Observer) SimDecodeStats(instrs uint64) {
-	if o == nil {
-		return
-	}
-	o.cDecodeInstrs.Add(instrs)
 }
 
 // GovernorForced counts one region the fallback governor forced onto the

@@ -78,12 +78,9 @@ const (
 	stateDone
 )
 
-// frame is one entry of a thread's control stack. Exactly one of code (the
-// decoded instruction stream, the default) or body (raw IR, Config.RefWalk)
-// is populated; pc indexes into whichever is live, so Checkpoint/Restore
-// are mode-agnostic.
+// frame is one entry of a thread's control stack: the body being executed
+// (a thread body or a loop body) and the pc indexing into it.
 type frame struct {
-	code []dinstr
 	body []Instr
 	pc   int
 	loop *Loop
@@ -188,14 +185,6 @@ type Config struct {
 	// (thread start/exit, interrupt deliveries). The disabled path is one
 	// nil-check per site.
 	Obs *obs.Observer
-	// RefWalk selects the reference interpreter: a tree walk over the raw IR
-	// with an interface type switch per instruction. The default (false)
-	// compiles each thread body once into a decoded instruction stream and
-	// dispatches through an opcode jump table (see decode.go). The two are
-	// observationally identical (pinned by the package's differential
-	// tests); the walk is kept for those tests and for before/after
-	// benchmarks.
-	RefWalk bool
 }
 
 // DefaultConfig mirrors the paper's testbed.
@@ -273,14 +262,6 @@ type Engine struct {
 	// ledger totals equal final thread clocks exactly; Run verifies.
 	led *obs.Ledger
 
-	// decoded selects the jump-table interpreter; decodedBodies memoizes
-	// per-body compilation (workers usually share one body) and
-	// decodedInstrs counts compiled instructions for the sim.decode.instrs
-	// metric.
-	decoded       bool
-	decodedBodies map[decodeKey][]dinstr
-	decodedInstrs uint64
-
 	res         Result
 	liveWorkers int
 	steps       uint64
@@ -295,11 +276,10 @@ func NewEngine(cfg Config) *Engine {
 		cfg.HWThreads = cfg.Cores
 	}
 	return &Engine{
-		cfg:     cfg,
-		obs:     cfg.Obs,
-		led:     cfg.Obs.Ledger(),
-		decoded: !cfg.RefWalk,
-		rng:     NewPRNG(cfg.Seed ^ 0xda7a5eed),
+		cfg: cfg,
+		obs: cfg.Obs,
+		led: cfg.Obs.Ledger(),
+		rng: NewPRNG(cfg.Seed ^ 0xda7a5eed),
 	}
 }
 
@@ -398,17 +378,11 @@ func (e *Engine) scheduleInterrupt(t *Thread) {
 }
 
 func (e *Engine) newThread(id int, body []Instr, isWorker bool) *Thread {
-	f := frame{}
-	if e.decoded {
-		f.code = e.decodeBody(body)
-	} else {
-		f.body = body
-	}
 	t := &Thread{
 		ID:       id,
 		RNG:      NewPRNG(e.cfg.Seed*0x9e37 + uint64(id)*0x85eb + 0x1234),
 		state:    stateNew,
-		frames:   []frame{f},
+		frames:   []frame{{body: body}},
 		eng:      e,
 		isWorker: isWorker,
 		led:      e.led.ThreadLedger(id),
@@ -499,9 +473,6 @@ func (e *Engine) Run(prog *Program, rt Runtime) (res *Result, err error) {
 		}
 	}
 	rt.Finish(e)
-	if e.obs != nil {
-		e.obs.SimDecodeStats(e.decodedInstrs)
-	}
 	// Conservation check: with attribution on, every thread's ledger must sum
 	// to its virtual clock exactly — a mismatch means some charge bypassed
 	// Charge/ChargeAs or a reattribution moved cycles it never had.
@@ -609,11 +580,7 @@ func (e *Engine) step(t *Thread) {
 		return
 	}
 	fi := len(t.frames) - 1
-	flen := len(t.frames[fi].body)
-	if e.decoded {
-		flen = len(t.frames[fi].code)
-	}
-	if t.frames[fi].pc >= flen {
+	if t.frames[fi].pc >= len(t.frames[fi].body) {
 		f := &t.frames[fi]
 		if f.loop != nil {
 			f.iter++
@@ -630,13 +597,7 @@ func (e *Engine) step(t *Thread) {
 		return
 	}
 
-	var done bool
-	if e.decoded {
-		e.res.Instructions++
-		done = e.execDecoded(t, &t.frames[fi].code[t.frames[fi].pc])
-	} else {
-		done = e.exec(t, t.frames[fi].body[t.frames[fi].pc])
-	}
+	done := e.exec(t, t.frames[fi].body[t.frames[fi].pc])
 	// Advance the issuing frame's pc unless the thread blocked (retry the
 	// instruction on wake) or a Restore rewrote the stack (resume at the
 	// snapshot point). A Loop push grows the stack but leaves index fi — the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -158,10 +159,15 @@ func TestStreamReaderIncremental(t *testing.T) {
 // TestAppendAllocationBounded pins the chunked-storage fix: appending n
 // events must cost about n*sizeof(Event) bytes in about n/chunkSize chunk
 // allocations — not the ~2x byte churn of an ever-doubling slice re-copying
-// the whole recording as it grows.
+// the whole recording as it grows. MemStats counts process-wide, so the
+// measurement runs on one P with the collector off (as testing.AllocsPerRun
+// does): goroutines and GC work left over from earlier tests cannot land
+// their allocations inside the window.
 func TestAppendAllocationBounded(t *testing.T) {
 	const n = 4*chunkSize + 100
 	evSize := float64(unsafe.Sizeof(Event{}))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
