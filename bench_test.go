@@ -406,7 +406,7 @@ func BenchmarkDetectorAlgorithms(b *testing.B) {
 	b.Run("lockset", func(b *testing.B) {
 		var v int
 		for i := 0; i < b.N; i++ {
-			v = trace.ReplayLockset(tr).ViolationCount()
+			v = trace.ReplayLockset(tr).RaceCount()
 		}
 		b.ReportMetric(float64(v), "reports")
 		b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")

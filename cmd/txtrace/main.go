@@ -136,8 +136,8 @@ func analyze(path, detector string, shards, jobs int) error {
 	if detector == "lockset" || detector == "both" {
 		d := trace.ReplayLockset(tr)
 		fmt.Printf("lockset (Eraser): %d violations (may include false positives)\n",
-			d.ViolationCount())
-		for _, v := range d.Violations() {
+			d.RaceCount())
+		for _, v := range d.Races() {
 			fmt.Printf("  %v\n", v)
 		}
 	}

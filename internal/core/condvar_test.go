@@ -78,7 +78,7 @@ func TestCondvarHandoffTripsLockset(t *testing.T) {
 	if _, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(buildHandoff()), ls); err != nil {
 		t.Fatal(err)
 	}
-	if ls.Detector().ViolationCount() == 0 {
+	if ls.Detector().RaceCount() == 0 {
 		t.Fatal("lockset did not flag the lock-free handoff — the baseline is broken")
 	}
 }

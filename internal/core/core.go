@@ -1,8 +1,10 @@
 // Package core implements the TxRace runtime — the paper's primary
 // contribution — together with the comparison runtimes the evaluation needs:
-// an uninstrumented baseline, a full happens-before detector (the TSan
-// stand-in), and a sampling detector (the LiteRace-style baseline of
-// Figures 11–13).
+// an uninstrumented baseline (Baseline), the Eraser lockset baseline
+// (Lockset), and one software happens-before runtime (TSan) that serves as
+// the always-on TSan stand-in (NewTSan), the LiteRace-style sampling
+// baseline of Figures 11–13 (NewSampling) and stock TSan's bounded
+// shadow-cell configuration of §5 (NewTSanBounded).
 //
 // The TxRace runtime (§3–§5 of the paper) drives two-phase detection:
 //

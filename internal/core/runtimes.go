@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"repro/internal/clock"
 	"repro/internal/detect"
 	"repro/internal/memmodel"
@@ -13,18 +15,34 @@ import (
 // Table 1 that all overheads are normalized against.
 type Baseline struct{ sim.NopRuntime }
 
-// TSan is the always-on happens-before runtime, standing in for Google's
-// ThreadSanitizer: every hooked access pays the shadow-check cost and goes
-// to the detector; every sync operation pays the vector-clock cost. Run it
-// on a program instrumented by instrument.ForTSan.
-type TSan struct {
+// hbRuntime is the one software happens-before runtime, standing in for
+// Google's ThreadSanitizer: every analyzed access pays the shadow-check cost
+// and goes to the detector; every sync operation pays the vector-clock cost.
+// Run it on a program instrumented by instrument.ForTSan. Over the exact
+// FastTrack detector it is TSan (NewTSan), and with a sampling rate below 1
+// the TSan+Sampling baseline of Figures 11–13 (NewSampling); over the
+// bounded cell detector it is stock TSan's N-shadow-cell configuration
+// (NewTSanBounded).
+type hbRuntime[D detect.HB] struct {
 	sim.NopRuntime
-	det *detect.Detector
+	det D
 	eng *sim.Engine
+
+	// rate is the per-access sampling rate in [0,1]. Below 1 each hooked
+	// access draws once from rng and is analyzed only if the draw falls
+	// under rate, in the style of LiteRace/Pacer. Sync operations are never
+	// sampled away: dropping them would corrupt the happens-before relation
+	// rather than merely lose coverage.
+	rate float64
+	rng  *rand.Rand
 
 	// SlowScale multiplies the per-access hook cost; see Options.SlowScale.
 	SlowScale float64
 }
+
+// TSan is the always-on happens-before runtime over the exact FastTrack
+// detector.
+type TSan = hbRuntime[*detect.Detector]
 
 // NewTSan returns a TSan runtime in the default sparse-clock configuration.
 func NewTSan() *TSan { return NewTSanWith(detect.Config{}) }
@@ -33,24 +51,53 @@ func NewTSan() *TSan { return NewTSanWith(detect.Config{}) }
 // configuration (detect.Config.RefDense selects the retained dense
 // reference path for differential runs).
 func NewTSanWith(cfg detect.Config) *TSan {
-	return &TSan{det: detect.NewWith(cfg), SlowScale: 1}
+	return &TSan{det: detect.NewWith(cfg), rate: 1, SlowScale: 1}
+}
+
+// NewSampling returns a TSan runtime that analyzes each hooked access with
+// probability rate.
+func NewSampling(rate float64, seed int64) *TSan {
+	return NewSamplingWith(rate, seed, detect.Config{})
+}
+
+// NewSamplingWith is NewSampling over a specific detector clock
+// configuration.
+func NewSamplingWith(rate float64, seed int64, cfg detect.Config) *TSan {
+	if rate < 0 || rate > 1 {
+		panic("core: sampling rate out of [0,1]")
+	}
+	r := NewTSanWith(cfg)
+	r.rate = rate
+	if rate < 1 {
+		r.rng = rand.New(rand.NewSource(seed))
+	}
+	return r
+}
+
+// NewTSanBounded returns a TSan runtime over a bounded shadow of n cells per
+// granule with random replacement (§5). The paper explicitly configured TSan
+// with "enough shadow cells to be sound"; this runtime exists to measure
+// what that choice buys — see the shadow experiment and
+// TestShadowEvictionUnsoundness.
+func NewTSanBounded(n int, seed int64) *hbRuntime[*detect.CellDetector] {
+	return &hbRuntime[*detect.CellDetector]{det: detect.NewCellDetector(n, seed), rate: 1, SlowScale: 1}
 }
 
 // Detector exposes the underlying detector.
-func (r *TSan) Detector() *detect.Detector { return r.det }
+func (r *hbRuntime[D]) Detector() D { return r.det }
 
 // Init implements sim.Runtime.
-func (r *TSan) Init(e *sim.Engine) { r.eng = e }
+func (r *hbRuntime[D]) Init(e *sim.Engine) { r.eng = e }
 
 // Fork implements sim.Runtime.
-func (r *TSan) Fork(p, c *sim.Thread) { r.det.Fork(clock.TID(p.ID), clock.TID(c.ID)) }
+func (r *hbRuntime[D]) Fork(p, c *sim.Thread) { r.det.Fork(clock.TID(p.ID), clock.TID(c.ID)) }
 
 // Joined implements sim.Runtime.
-func (r *TSan) Joined(p, c *sim.Thread) { r.det.Join(clock.TID(p.ID), clock.TID(c.ID)) }
+func (r *hbRuntime[D]) Joined(p, c *sim.Thread) { r.det.Join(clock.TID(p.ID), clock.TID(c.ID)) }
 
 // JoinedAll implements sim.BatchJoiner: the engine's join-all point becomes
 // one tree-structured N-way clock merge instead of N sequential joins.
-func (r *TSan) JoinedAll(p *sim.Thread, cs []*sim.Thread) {
+func (r *hbRuntime[D]) JoinedAll(p *sim.Thread, cs []*sim.Thread) {
 	r.det.JoinAllChildren(clock.TID(p.ID), childTIDs(cs))
 }
 
@@ -64,120 +111,51 @@ func childTIDs(cs []*sim.Thread) []clock.TID {
 }
 
 // SyncAcquire implements sim.Runtime.
-func (r *TSan) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
+func (r *hbRuntime[D]) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
 	detect.AcquireKind(r.det, clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
 // SyncRelease implements sim.Runtime.
-func (r *TSan) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
+func (r *hbRuntime[D]) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
 	detect.ReleaseKind(r.det, clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
-// Atomic implements sim.Runtime.
-func (r *TSan) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
+// Atomic implements sim.Runtime. Atomics are synchronization, so they are
+// never sampled away.
+func (r *hbRuntime[D]) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.AtomicOp(r.det, clock.TID(t.ID), addr, m.Site)
+	r.det.Atomic(clock.TID(t.ID), addr, m.Site)
 }
 
-// Access implements sim.Runtime.
-func (r *TSan) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
+// Access implements sim.Runtime. A sampled-away access leaves no shadow
+// state, so both halves of a race must be sampled for the race to be found —
+// the source of the recall loss the paper plots in Figure 13.
+func (r *hbRuntime[D]) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 	if !m.Hooked {
+		return
+	}
+	if r.rate < 1 && r.rng.Float64() >= r.rate {
+		r.eng.ChargeAs(t, r.eng.Config().Cost.SampleGate, obs.PhaseSample)
 		return
 	}
 	r.eng.ChargeAs(t, int64(float64(r.eng.Config().Cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
 	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
 }
 
-// Sampling is TSan with per-access sampling at a fixed rate — the
-// cost-effectiveness baseline of Figures 11–13.
-type Sampling struct {
-	sim.NopRuntime
-	s   *detect.Sampler
-	eng *sim.Engine
-
-	// SlowScale as in TSan.
-	SlowScale float64
-}
-
-// NewSampling returns a sampling runtime at the given rate.
-func NewSampling(rate float64, seed int64) *Sampling {
-	return NewSamplingWith(rate, seed, detect.Config{})
-}
-
-// NewSamplingWith is NewSampling over a specific detector clock
-// configuration.
-func NewSamplingWith(rate float64, seed int64, cfg detect.Config) *Sampling {
-	return &Sampling{s: detect.NewSamplerWith(rate, seed, cfg), SlowScale: 1}
-}
-
-// Sampler exposes the underlying sampler.
-func (r *Sampling) Sampler() *detect.Sampler { return r.s }
-
-// Detector exposes the underlying detector.
-func (r *Sampling) Detector() *detect.Detector { return r.s.D }
-
-// Init implements sim.Runtime.
-func (r *Sampling) Init(e *sim.Engine) { r.eng = e }
-
-// Fork implements sim.Runtime.
-func (r *Sampling) Fork(p, c *sim.Thread) { r.s.Fork(clock.TID(p.ID), clock.TID(c.ID)) }
-
-// Joined implements sim.Runtime.
-func (r *Sampling) Joined(p, c *sim.Thread) { r.s.Join(clock.TID(p.ID), clock.TID(c.ID)) }
-
-// JoinedAll implements sim.BatchJoiner.
-func (r *Sampling) JoinedAll(p *sim.Thread, cs []*sim.Thread) {
-	r.s.D.JoinAllChildren(clock.TID(p.ID), childTIDs(cs))
-}
-
-// SyncAcquire implements sim.Runtime.
-func (r *Sampling) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.AcquireKind(r.s.D, clock.TID(t.ID), detect.SyncID(s), kind)
-}
-
-// SyncRelease implements sim.Runtime.
-func (r *Sampling) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.ReleaseKind(r.s.D, clock.TID(t.ID), detect.SyncID(s), kind)
-}
-
-// Atomic implements sim.Runtime. Atomics are synchronization, so they are
-// never sampled away.
-func (r *Sampling) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.AtomicOp(r.s.D, clock.TID(t.ID), addr, m.Site)
-}
-
-// Access implements sim.Runtime.
-func (r *Sampling) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
-	if !m.Hooked {
-		return
+// Finish folds what the detector holds into the metrics: the exact
+// detector's shadow allocation counters or the bounded detector's cell-store
+// pages, and the clock-representation counters of either.
+func (r *hbRuntime[D]) Finish(e *sim.Engine) {
+	o := e.Config().Obs
+	switch d := any(r.det).(type) {
+	case *detect.Detector:
+		s := d.ShadowStats()
+		o.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
+	case *detect.CellDetector:
+		o.ShadowCellStats(d.CellStats().Pages)
 	}
-	cost := r.eng.Config().Cost
-	if r.s.Access(clock.TID(t.ID), addr, m.Write, m.Site) {
-		r.eng.ChargeAs(t, int64(float64(cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
-	} else {
-		r.eng.ChargeAs(t, cost.SampleGate, obs.PhaseSample)
-	}
-}
-
-// Finish folds the detector's shadow allocation and clock-representation
-// counters into the metrics.
-func (r *TSan) Finish(e *sim.Engine) {
-	s := r.det.ShadowStats()
-	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
 	cs := r.det.ClockStats()
-	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
-}
-
-// Finish folds the detector's shadow allocation and clock-representation
-// counters into the metrics.
-func (r *Sampling) Finish(e *sim.Engine) {
-	s := r.s.D.ShadowStats()
-	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
-	cs := r.s.D.ClockStats()
-	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
+	o.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
 }

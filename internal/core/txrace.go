@@ -391,7 +391,7 @@ func (r *TxRace) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
 	// The atomic still participates in HTM conflict detection (coherence
 	// traffic) like any access.
 	r.hw.Access(t.ID, addr, true)
-	detect.AtomicOp(r.det, clock.TID(t.ID), addr, m.Site)
+	r.det.Atomic(clock.TID(t.ID), addr, m.Site)
 }
 
 // Access handles one memory access according to the thread's mode. All

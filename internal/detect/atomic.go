@@ -20,14 +20,22 @@ func atomicSyncID(a memmodel.Addr) SyncID {
 	return atomicSyncBit | (SyncID(g) & (atomicSyncBit - 1))
 }
 
-// AtomicOp applies C++11 atomic RMW semantics to the detector: the operation
+// Atomic applies C++11 atomic RMW semantics to the detector: the operation
 // acquires and releases the location's synchronization clock (ordering with
 // every other atomic on it) and leaves a shadow write so *plain* accesses
 // unordered with it are still reported as races — the mixed atomic/plain
 // access rule.
-func AtomicOp(d *Detector, tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
+func (d *Detector) Atomic(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
 	s := atomicSyncID(addr)
 	d.Acquire(tid, s)
 	d.Write(tid, addr, site)
+	d.Release(tid, s)
+}
+
+// Atomic is Detector.Atomic over the bounded cells.
+func (d *CellDetector) Atomic(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
+	s := atomicSyncID(addr)
+	d.Acquire(tid, s)
+	d.Access(tid, addr, true, site)
 	d.Release(tid, s)
 }

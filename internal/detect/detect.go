@@ -80,6 +80,20 @@ type Detector struct {
 	FastTrack
 }
 
+// HB is the detector contract of the software happens-before runtime
+// (core.TSan): the Clocks core plus per-access and atomic analysis.
+// *Detector (exact FastTrack shadow) and *CellDetector (N bounded cells per
+// granule) meet it.
+type HB interface {
+	hbCore
+	Fork(parent, child clock.TID)
+	Join(parent, child clock.TID)
+	JoinAllChildren(parent clock.TID, children []clock.TID)
+	ClockStats() clock.Stats
+	Access(tid clock.TID, addr memmodel.Addr, isWrite bool, site shadow.SiteID)
+	Atomic(tid clock.TID, addr memmodel.Addr, site shadow.SiteID)
+}
+
 // New returns an empty detector in the default sparse-clock configuration.
 func New() *Detector { return NewWith(Config{}) }
 

@@ -235,54 +235,6 @@ func TestBarrierMeshOrders(t *testing.T) {
 	}
 }
 
-func TestSamplerAtFullRateEqualsDetector(t *testing.T) {
-	s := NewSampler(1.0, 1)
-	s.Access(0, x, true, 10)
-	s.Access(1, x, true, 20)
-	if s.D.RaceCount() != 1 {
-		t.Fatal("full-rate sampler must behave like the detector")
-	}
-	if s.Skipped != 0 || s.Sampled != 2 {
-		t.Fatalf("sampled=%d skipped=%d", s.Sampled, s.Skipped)
-	}
-}
-
-func TestSamplerAtZeroRateSeesNothing(t *testing.T) {
-	s := NewSampler(0, 1)
-	for i := 0; i < 100; i++ {
-		s.Access(0, x, true, 10)
-		s.Access(1, x, true, 20)
-	}
-	if s.D.RaceCount() != 0 || s.Sampled != 0 {
-		t.Fatal("zero-rate sampler analyzed accesses")
-	}
-}
-
-func TestSamplerTracksSyncAtAnyRate(t *testing.T) {
-	// Even at 0% access sampling, sync edges must be tracked so that any
-	// sampled accesses later are correctly ordered.
-	s := NewSampler(1.0, 1)
-	s2 := NewSampler(0.0, 1)
-	_ = s2
-	s.Acquire(0, mu)
-	s.Access(0, x, true, 10)
-	s.Release(0, mu)
-	s.Acquire(1, mu)
-	s.Access(1, x, true, 20)
-	if s.D.RaceCount() != 0 {
-		t.Fatal("sampler lost sync edges")
-	}
-}
-
-func TestSamplerBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rate > 1 must panic")
-		}
-	}()
-	NewSampler(1.5, 1)
-}
-
 func TestCellDetectorFindsRace(t *testing.T) {
 	d := NewCellDetector(4, 1)
 	d.Access(0, x, true, 10)
@@ -320,7 +272,7 @@ func TestShadowEvictionUnsoundness(t *testing.T) {
 		d.Access(0, x, true, 10)      // the racy write
 		// Flood the granule with ordered accesses from other threads.
 		for tid := clock.TID(1); tid <= 6; tid++ {
-			d.hb.Fork(0, tid) // ordered after the write: no races with it
+			d.Fork(0, tid) // ordered after the write: no races with it
 			d.Access(tid, x, false, 100+shadowSite(tid))
 		}
 		d.Access(7, x, true, 20) // concurrent with the write of site 10

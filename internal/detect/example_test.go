@@ -44,7 +44,7 @@ func ExampleLocksetDetector() {
 	// A condition-variable handoff orders the accesses in reality, but the
 	// lockset algorithm cannot see it:
 	d.Access(1, 0x2000, true, 22)
-	fmt.Println("violations:", d.ViolationCount())
+	fmt.Println("violations:", d.RaceCount())
 	// Output:
 	// violations: 1
 }

@@ -10,10 +10,10 @@ func TestLocksetCatchesUnlockedSharing(t *testing.T) {
 	d := NewLockset()
 	d.Access(0, x, true, 10)
 	d.Access(1, x, true, 20)
-	if d.ViolationCount() != 1 {
-		t.Fatalf("violations = %d, want 1", d.ViolationCount())
+	if d.RaceCount() != 1 {
+		t.Fatalf("violations = %d, want 1", d.RaceCount())
 	}
-	v := d.Violations()[0]
+	v := d.Races()[0]
 	if v.Key() != (PairKey{10, 20}) {
 		t.Fatalf("violation pair %+v", v)
 	}
@@ -27,8 +27,8 @@ func TestLocksetConsistentDisciplineClean(t *testing.T) {
 		d.Access(clockTID(tid), x, true, 10+shadowSite(clockTID(tid)))
 		d.Release(clockTID(tid), mu, sim.SyncMutex)
 	}
-	if d.ViolationCount() != 0 {
-		t.Fatalf("consistent locking flagged: %v", d.Violations())
+	if d.RaceCount() != 0 {
+		t.Fatalf("consistent locking flagged: %v", d.Races())
 	}
 }
 
@@ -46,15 +46,15 @@ func TestLocksetCandidateIntersection(t *testing.T) {
 	d.Acquire(1, b, sim.SyncMutex)
 	d.Access(1, x, true, 20)
 	d.Release(1, b, sim.SyncMutex)
-	if d.ViolationCount() != 0 {
-		t.Fatalf("C(v)={B} still non-empty, but flagged: %v", d.Violations())
+	if d.RaceCount() != 0 {
+		t.Fatalf("C(v)={B} still non-empty, but flagged: %v", d.Races())
 	}
 
 	d.Acquire(2, a, sim.SyncMutex)
 	d.Access(2, x, true, 30)
 	d.Release(2, a, sim.SyncMutex)
-	if d.ViolationCount() != 1 {
-		t.Fatalf("emptied candidate set not flagged: %d", d.ViolationCount())
+	if d.RaceCount() != 1 {
+		t.Fatalf("emptied candidate set not flagged: %d", d.RaceCount())
 	}
 }
 
@@ -64,7 +64,7 @@ func TestLocksetExclusivePhaseSilent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Access(0, x, true, 10)
 	}
-	if d.ViolationCount() != 0 {
+	if d.RaceCount() != 0 {
 		t.Fatal("exclusive accesses flagged")
 	}
 }
@@ -74,7 +74,7 @@ func TestLocksetReadSharingWithoutWritesSilent(t *testing.T) {
 	d.Access(0, x, false, 10)
 	d.Access(1, x, false, 20)
 	d.Access(2, x, false, 30)
-	if d.ViolationCount() != 0 {
+	if d.RaceCount() != 0 {
 		t.Fatal("read-only sharing flagged")
 	}
 }
@@ -88,8 +88,8 @@ func TestLocksetFalsePositiveOnSignalWait(t *testing.T) {
 	ls.Access(0, x, true, 10)
 	// signal → wait happens here; Eraser cannot see it.
 	ls.Access(1, x, true, 20)
-	if ls.ViolationCount() != 1 {
-		t.Fatalf("expected the false positive, got %d", ls.ViolationCount())
+	if ls.RaceCount() != 1 {
+		t.Fatalf("expected the false positive, got %d", ls.RaceCount())
 	}
 
 	hb := New()
@@ -113,16 +113,16 @@ func TestLocksetRWLockDiscipline(t *testing.T) {
 	d.Acquire(1, l, sim.SyncRead)
 	d.Access(1, x, false, 20)
 	d.Release(1, l, sim.SyncRead)
-	if d.ViolationCount() != 0 {
-		t.Fatalf("rwlock discipline flagged: %v", d.Violations())
+	if d.RaceCount() != 0 {
+		t.Fatalf("rwlock discipline flagged: %v", d.Races())
 	}
 	// ...but writing under only a read hold is a violation when another
 	// thread writes too.
 	d.Acquire(2, l, sim.SyncRead)
 	d.Access(2, x, true, 30)
 	d.Release(2, l, sim.SyncRead)
-	if d.ViolationCount() != 1 {
-		t.Fatalf("write under read hold not flagged: %d", d.ViolationCount())
+	if d.RaceCount() != 1 {
+		t.Fatalf("write under read hold not flagged: %d", d.RaceCount())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 const rwReaderBit SyncID = 1 << 31
 
 // hbCore is anything built on the happens-before core: *Clocks itself and
-// every detector that embeds or wraps it.
+// every detector that embeds it.
 type hbCore interface{ clocks() *Clocks }
 
 // AcquireKind applies the happens-before semantics of a synchronization

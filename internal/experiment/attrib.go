@@ -54,17 +54,14 @@ func RunAttrib(cfg Config, apps []*workload.Workload) (*Attrib, error) {
 	handles := make([]*runner.Handle, len(apps))
 	for i, w := range apps {
 		w := w
-		handles[i] = plan.Add(runner.Job{Workload: w.Name, Runtime: "txrace", Seed: cfg.Seed, Observe: true,
-			Do: func(j *runner.Job) (any, error) {
-				c := cfg
-				c.Obs = j.Obs
-				r, err := RunTxRace(w, c, j.Seed)
-				if err != nil {
-					return nil, err
-				}
-				return &AttribRow{App: w, Makespan: r.Makespan, Races: len(r.Races),
-					Attrib: j.Obs.Ledger().Snapshot()}, nil
-			},
+		job := runner.Job{Workload: w.Name, Runtime: "txrace", Seed: cfg.Seed}
+		handles[i] = observedJob(plan, job, cfg, func(c Config, seed uint64) (*AttribRow, error) {
+			r, err := RunTxRace(w, c, seed)
+			if err != nil {
+				return nil, err
+			}
+			return &AttribRow{App: w, Makespan: r.Makespan, Races: len(r.Races),
+				Attrib: c.Obs.Ledger().Snapshot()}, nil
 		})
 	}
 	if err := plan.Run(); err != nil {

@@ -185,13 +185,9 @@ func chaosBallast(b *workload.B, scale int) []sim.Instr {
 // chaosPlanJob runs one (app, fault plan) point under the chaos governor.
 // An empty plan compiles to no injector at all — the reference run.
 func chaosPlanJob(p *runner.Plan, w *workload.Workload, cfg Config, label string, mk func(seed uint64) fault.Plan) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: "txrace-chaos(" + label + ")",
-		Seed: cfg.Seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			return RunTxRaceFault(w, c, j.Seed, mk(j.Seed), ChaosGovernor())
-		},
+	job := runner.Job{Workload: w.Name, Runtime: "txrace-chaos(" + label + ")", Seed: cfg.Seed}
+	return observedJob(p, job, cfg, func(c Config, seed uint64) (*TxRaceRun, error) {
+		return RunTxRaceFault(w, c, seed, mk(seed), ChaosGovernor())
 	})
 }
 

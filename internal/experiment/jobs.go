@@ -21,34 +21,31 @@ func baselineJob(p *runner.Plan, w *workload.Workload, cfg Config, trial int, se
 	})
 }
 
+// observedJob adds a measured job: run executes with the job's scheduler
+// seed under the job's private observer fork.
+func observedJob[R any](p *runner.Plan, job runner.Job, cfg Config, run func(c Config, seed uint64) (R, error)) *runner.Handle {
+	job.Observe = true
+	job.Do = func(j *runner.Job) (any, error) {
+		c := cfg
+		c.Obs = j.Obs
+		return run(c, j.Seed)
+	}
+	return p.Add(job)
+}
+
 func tsanJob(p *runner.Plan, w *workload.Workload, cfg Config, trial int, seed uint64) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: "tsan", Trial: trial, Seed: seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			return RunTSan(w, c, j.Seed)
-		},
-	})
+	return observedJob(p, runner.Job{Workload: w.Name, Runtime: "tsan", Trial: trial, Seed: seed}, cfg,
+		func(c Config, seed uint64) (*TSanRun, error) { return RunTSan(w, c, seed) })
 }
 
 func txraceJob(p *runner.Plan, w *workload.Workload, cfg Config, trial int, seed uint64) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: "txrace", Trial: trial, Seed: seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			return RunTxRace(w, c, j.Seed)
-		},
-	})
+	return observedJob(p, runner.Job{Workload: w.Name, Runtime: "txrace", Trial: trial, Seed: seed}, cfg,
+		func(c Config, seed uint64) (*TxRaceRun, error) { return RunTxRace(w, c, seed) })
 }
 
 func samplingJob(p *runner.Plan, w *workload.Workload, cfg Config, trial int, seed uint64, rate float64) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: "sampling", Trial: trial, Seed: seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			return RunSampling(w, c, j.Seed, rate)
-		},
-	})
+	return observedJob(p, runner.Job{Workload: w.Name, Runtime: "sampling", Trial: trial, Seed: seed}, cfg,
+		func(c Config, seed uint64) (*TSanRun, error) { return RunSampling(w, c, seed, rate) })
 }
 
 // Typed result accessors, nil-safe only after a successful Plan.Run.

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/instrument"
 	"repro/internal/report"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -40,28 +38,19 @@ type Precision struct{ Rows []PrecisionRow }
 type locksetRun struct {
 	makespan   int64
 	violations []detect.Race
-	count      int
 }
 
 // locksetJob runs the workload under the Eraser lockset detector.
 func locksetJob(p *runner.Plan, w *workload.Workload, cfg Config, seed uint64) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: "lockset", Seed: seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			built := w.Build(c.Threads, c.Scale)
-			ls := core.NewLockset()
-			ls.SlowScale = w.SlowScale
-			res, err := sim.NewEngine(c.engineConfig(w, j.Seed)).Run(instrument.ForTSan(built.Prog), ls)
-			if err != nil {
-				return nil, fmt.Errorf("%s lockset: %w", w.Name, err)
-			}
-			return &locksetRun{
-				makespan:   res.Makespan,
-				violations: ls.Detector().Violations(),
-				count:      ls.Detector().ViolationCount(),
-			}, nil
-		},
+	job := runner.Job{Workload: w.Name, Runtime: "lockset", Seed: seed}
+	return observedJob(p, job, cfg, func(c Config, seed uint64) (*locksetRun, error) {
+		ls := core.NewLockset()
+		ls.SlowScale = w.SlowScale
+		res, err := runSoftware(w, c, seed, ls, "lockset")
+		if err != nil {
+			return nil, err
+		}
+		return &locksetRun{makespan: res.Makespan, violations: ls.Detector().Races()}, nil
 	})
 }
 
@@ -92,7 +81,7 @@ func RunPrecision(cfg Config, apps []*workload.Workload) (*Precision, error) {
 		row := PrecisionRow{
 			App:             w,
 			TrueRaces:       len(ts.Races),
-			Violations:      ls.count,
+			Violations:      len(ls.violations),
 			LocksetOverhead: float64(ls.makespan) / float64(base.Makespan),
 			TSanOverhead:    float64(ts.Makespan) / float64(base.Makespan),
 		}

@@ -194,20 +194,37 @@ func RunBaseline(w *workload.Workload, cfg Config, seed uint64) (*BaselineRun, e
 
 // RunTSan executes under full happens-before detection.
 func RunTSan(w *workload.Workload, cfg Config, seed uint64) (*TSanRun, error) {
+	return runTSan(w, cfg, seed, core.NewTSanWith(cfg.detectConfig()), "tsan")
+}
+
+// RunSampling executes under TSan with per-access sampling.
+func RunSampling(w *workload.Workload, cfg Config, seed uint64, rate float64) (*TSanRun, error) {
+	rt := core.NewSamplingWith(rate, int64(seed)+7, cfg.detectConfig())
+	return runTSan(w, cfg, seed, rt, fmt.Sprintf("sampling(%.0f%%)", rate*100))
+}
+
+// runTSan runs w under a TSan runtime and collects its detector's results.
+func runTSan(w *workload.Workload, cfg Config, seed uint64, rt *core.TSan, what string) (*TSanRun, error) {
+	rt.SlowScale = w.SlowScale
+	res, err := runSoftware(w, cfg, seed, rt, what)
+	if err != nil {
+		return nil, err
+	}
+	d := rt.Detector()
+	return &TSanRun{Makespan: res.Makespan, Races: d.RaceKeys(), Checks: d.Checks, Clock: d.ClockStats()}, nil
+}
+
+// runSoftware is the shared leg of every software-detector run: build w,
+// instrument it with instrument.ForTSan and run it under rt. what names the
+// runtime in errors.
+func runSoftware(w *workload.Workload, cfg Config, seed uint64, rt sim.Runtime, what string) (*sim.Result, error) {
 	cfg = cfg.withDefaults()
 	built := w.Build(cfg.Threads, cfg.Scale)
-	rt := core.NewTSanWith(cfg.detectConfig())
-	rt.SlowScale = w.SlowScale
 	res, err := sim.NewEngine(cfg.engineConfig(w, seed)).Run(instrument.ForTSan(built.Prog), rt)
 	if err != nil {
-		return nil, fmt.Errorf("%s tsan: %w", w.Name, err)
+		return nil, fmt.Errorf("%s %s: %w", w.Name, what, err)
 	}
-	return &TSanRun{
-		Makespan: res.Makespan,
-		Races:    rt.Detector().RaceKeys(),
-		Checks:   rt.Detector().Checks,
-		Clock:    rt.Detector().ClockStats(),
-	}, nil
+	return res, nil
 }
 
 // RunTxRace executes under the two-phase runtime. For ProfCut it first runs
@@ -266,23 +283,5 @@ func RunTxRaceFault(w *workload.Workload, cfg Config, seed uint64, plan fault.Pl
 		Races:    rt.Detector().RaceKeys(),
 		Stats:    rt.Stats(),
 		Fault:    rt.FaultStats(),
-	}, nil
-}
-
-// RunSampling executes under TSan with per-access sampling.
-func RunSampling(w *workload.Workload, cfg Config, seed uint64, rate float64) (*TSanRun, error) {
-	cfg = cfg.withDefaults()
-	built := w.Build(cfg.Threads, cfg.Scale)
-	rt := core.NewSamplingWith(rate, int64(seed)+7, cfg.detectConfig())
-	rt.SlowScale = w.SlowScale
-	res, err := sim.NewEngine(cfg.engineConfig(w, seed)).Run(instrument.ForTSan(built.Prog), rt)
-	if err != nil {
-		return nil, fmt.Errorf("%s sampling(%.0f%%): %w", w.Name, rate*100, err)
-	}
-	return &TSanRun{
-		Makespan: res.Makespan,
-		Races:    rt.Detector().RaceKeys(),
-		Checks:   rt.Detector().Checks,
-		Clock:    rt.Detector().ClockStats(),
 	}, nil
 }

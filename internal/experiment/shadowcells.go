@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -99,23 +98,19 @@ type boundedResult struct {
 // boundedJob runs the workload under TSan with an N-cell bounded shadow and
 // scores it against the sound ground truth.
 func boundedJob(p *runner.Plan, w *workload.Workload, cfg Config, n int, full *TSanRun) *runner.Handle {
-	return p.Add(runner.Job{Workload: w.Name, Runtime: fmt.Sprintf("tsan-bounded(N=%d)", n), Seed: cfg.Seed, Observe: true,
-		Do: func(j *runner.Job) (any, error) {
-			c := cfg
-			c.Obs = j.Obs
-			built := w.Build(c.Threads, c.Scale)
-			rt := core.NewTSanBounded(n, int64(c.Seed)+int64(n))
-			rt.SlowScale = w.SlowScale
-			if _, err := sim.NewEngine(c.engineConfig(w, c.Seed)).Run(
-				instrument.ForTSan(built.Prog), rt); err != nil {
-				return nil, fmt.Errorf("%s bounded(N=%d): %w", w.Name, n, err)
-			}
-			return &boundedResult{
-				races:     rt.Detector().RaceCount(),
-				recall:    stats.Recall(rt.Detector().RaceKeys(), full.Races),
-				evictions: rt.Detector().Evictions,
-			}, nil
-		},
+	job := runner.Job{Workload: w.Name, Runtime: fmt.Sprintf("tsan-bounded(N=%d)", n), Seed: cfg.Seed}
+	return observedJob(p, job, cfg, func(c Config, seed uint64) (*boundedResult, error) {
+		rt := core.NewTSanBounded(n, int64(seed)+int64(n))
+		rt.SlowScale = w.SlowScale
+		if _, err := runSoftware(w, c, seed, rt, fmt.Sprintf("bounded(N=%d)", n)); err != nil {
+			return nil, err
+		}
+		d := rt.Detector()
+		return &boundedResult{
+			races:     d.RaceCount(),
+			recall:    stats.Recall(d.RaceKeys(), full.Races),
+			evictions: d.Evictions,
+		}, nil
 	})
 }
 

@@ -356,7 +356,7 @@ func TestWritersRefuseWhatReadersRefuse(t *testing.T) {
 func TestReplayLocksetSeesViolations(t *testing.T) {
 	tr := record(t, "freqmine", 2)
 	ls := ReplayLockset(tr)
-	if ls.ViolationCount() == 0 {
+	if ls.RaceCount() == 0 {
 		t.Fatal("freqmine's init-then-share idiom must trip the lockset detector")
 	}
 	if Replay(tr).RaceCount() != 0 {
